@@ -22,7 +22,7 @@
 
 use synergy_bench::*;
 use synergy_faultsim::FaultSchedule;
-use synergy_secure::{CryptoWorkMode, DesignConfig};
+use synergy_secure::DesignConfig;
 
 /// The failed chip: a data chip (not the ECC chip), the common case.
 const FAILED_CHIP: usize = 3;
@@ -64,10 +64,8 @@ fn main() {
     let mut metrics = MetricsSnapshot::new();
     let mut slowdowns: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();
 
-    // Environment columns repeated on every CSV row so each row is
-    // self-describing: the active crypto work model and the host's CPU
-    // count (the wall-clock context the sweep timing ran under).
-    let crypto_mode = crypto_work().name();
+    // The host's CPU count, repeated on every CSV row so each row is
+    // self-describing (the wall-clock context the sweep timing ran under).
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
 
     for (pair, cell) in report.results.chunks(2).zip(cells.chunks(2)) {
@@ -101,7 +99,7 @@ fn main() {
             d.due_events.to_string(),
         ]);
         csv.push(format!(
-            "{workload},{design},{:.6},{:.6},{slowdown:.6},{},{},{},{},{},{crypto_mode},{host_cpus}",
+            "{workload},{design},{:.6},{:.6},{slowdown:.6},{},{},{},{},{},{host_cpus}",
             healthy.ipc, degraded.ipc, d.detections, d.corrections, d.parity_reads, d.parity_hits, d.due_events
         ));
     }
@@ -130,11 +128,10 @@ fn main() {
     );
     write_csv(
         "fig_degraded",
-        "workload,design,healthy_ipc,degraded_ipc,slowdown,detections,corrections,parity_reads,parity_hits,due_events,crypto_work,host_cpus",
+        "workload,design,healthy_ipc,degraded_ipc,slowdown,detections,corrections,parity_reads,parity_hits,due_events,host_cpus",
         &csv,
     );
     metrics.add_registry("sweep", &report.registry(), &[]);
-    crypto_work_comparison(&workloads, fail_cycle, &mut metrics);
     metrics.write("fig_degraded");
     degraded_timeline_trace(&workloads[0], fail_cycle);
 }
@@ -150,52 +147,4 @@ fn degraded_timeline_trace(workload: &synergy_trace::WorkloadSpec, fail_cycle: u
     });
     r.attrib.verify().expect("degraded timeline run conserves attribution");
     write_chrome_trace(&format!("fig_degraded_synergy_{}", workload.name), &r);
-}
-
-/// End-to-end host-throughput cost of the crypto work model: one MAC-heavy
-/// degraded Synergy run per [`CryptoWorkMode`], identical simulated results
-/// (asserted), differing only in `sim.cycles_per_sec`. Folded into the
-/// metrics snapshot under `crypto_work_*` keys; the main `fig_degraded.csv`
-/// is untouched.
-fn crypto_work_comparison(
-    workloads: &[synergy_trace::WorkloadSpec],
-    fail_cycle: u64,
-    metrics: &mut MetricsSnapshot,
-) {
-    let w = &workloads[0];
-    let faults = FaultSchedule::chip_failure_at(fail_cycle, FAILED_CHIP);
-    println!(
-        "\ncrypto work model — host wall-clock on a degraded synergy/{} run \
-         (simulated results identical by construction):",
-        w.name
-    );
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    let mut baseline: Option<synergy_core::system::SimResult> = None;
-    for mode in [CryptoWorkMode::Off, CryptoWorkMode::PerLine, CryptoWorkMode::Batched] {
-        let name = mode.name();
-        let r = run_workload_custom(DesignConfig::synergy(), w, 2, faults.clone(), |cfg| {
-            cfg.crypto_work = mode;
-        });
-        if let Some(base) = &baseline {
-            assert_eq!(r.ipc, base.ipc, "crypto work must not change simulated IPC");
-            assert_eq!(r.mem_cycles, base.mem_cycles, "crypto work must not change timing");
-        }
-        let cps = r.telemetry.registry.gauge("sim.cycles_per_sec").unwrap_or(0.0);
-        let verifies = r.telemetry.registry.counter("crypto.verifies").unwrap_or(0);
-        let pads = r.telemetry.registry.counter("crypto.pads").unwrap_or(0);
-        rows.push(vec![
-            name.to_string(),
-            format!("{cps:.0}"),
-            verifies.to_string(),
-            pads.to_string(),
-        ]);
-        csv.push(format!("{name},{cps:.0},{verifies},{pads}"));
-        metrics.add_registry(&format!("crypto_work_{name}"), &r.telemetry.registry, &[]);
-        if baseline.is_none() {
-            baseline = Some(r);
-        }
-    }
-    print_table(&["crypto_work", "sim cycles/s", "verifies", "pads"], &rows);
-    write_csv("fig_degraded_crypto_work", "crypto_work,sim_cycles_per_sec,verifies,pads", &csv);
 }

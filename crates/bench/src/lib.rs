@@ -25,10 +25,6 @@
 //!   experiment (`fig_degraded`) injects its permanent chip failure
 //!   (default 2,000 — early enough that most of the run executes
 //!   degraded).
-//! * `SYNERGY_CRYPTO_WORK` — the crypto work model: `off` (default),
-//!   `per-line` or `batched` (see [`synergy_secure::CryptoWorkMode`]).
-//!   Simulated results are byte-identical across all three; only host
-//!   wall-clock (`sim.cycles_per_sec`) changes.
 //! * `SYNERGY_CRYPTO_BACKEND` — crypto implementation: `auto` (default),
 //!   `simd` or `table` (read by `synergy-crypto`, see its `Backend`).
 
@@ -48,7 +44,7 @@ use synergy_core::system::{run, SimResult, SystemConfig};
 use synergy_dram::{DramConfig, RequestClass};
 use synergy_faultsim::FaultSchedule;
 use synergy_obs::{export, ChromeTrace, CycleAttribution, MetricRegistry, Span};
-use synergy_secure::{CryptoWorkMode, DesignConfig};
+use synergy_secure::DesignConfig;
 use synergy_trace::{presets, MultiCoreTrace, WorkloadSpec};
 
 /// Instructions per core for performance runs.
@@ -106,22 +102,6 @@ pub fn bench_fail_cycle() -> u64 {
     env_u64("SYNERGY_BENCH_FAIL_CYCLE", 2_000)
 }
 
-/// The crypto work model selected by `SYNERGY_CRYPTO_WORK`
-/// (default [`CryptoWorkMode::Off`]).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo silently falling back to `off`
-/// would invalidate a wall-clock comparison without any visible sign.
-pub fn crypto_work() -> CryptoWorkMode {
-    match std::env::var("SYNERGY_CRYPTO_WORK") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("SYNERGY_CRYPTO_WORK: {e}")),
-        Err(_) => CryptoWorkMode::Off,
-    }
-}
-
 /// Runs one single-benchmark workload (rate mode, 4 cores) under `design`.
 pub fn run_workload(design: DesignConfig, workload: &WorkloadSpec, channels: usize) -> SimResult {
     run_workload_with_faults(design, workload, channels, FaultSchedule::default())
@@ -145,8 +125,8 @@ pub fn run_workload_with_faults(
 /// [`run_workload_with_faults`] with a config hook: `tweak` runs on the
 /// fully-populated [`SystemConfig`] just before the trace is built. Used by
 /// bench targets that vary a knob the standard entry points pin — e.g.
-/// `fig_degraded`'s crypto-work wall-clock comparison, which overrides
-/// `cfg.crypto_work` per run.
+/// `fig_degraded`'s epoch-sampled timeline run, which sets
+/// `cfg.telemetry.epoch_mem_cycles`.
 pub fn run_workload_custom(
     design: DesignConfig,
     workload: &WorkloadSpec,
@@ -158,7 +138,6 @@ pub fn run_workload_custom(
     cfg.dram = DramConfig::with_channels(channels);
     cfg.warmup_records_per_core = bench_warmup();
     cfg.fault_schedule = faults;
-    cfg.crypto_work = crypto_work();
     tweak(&mut cfg);
     let mut trace = MultiCoreTrace::rate_mode(workload, cfg.cores, trace_seed(channels));
     run(&cfg, &mut trace, bench_insts()).expect("simulation config is valid")
@@ -182,7 +161,6 @@ pub fn run_mix_with_faults(
     cfg.dram = DramConfig::with_channels(channels);
     cfg.warmup_records_per_core = bench_warmup();
     cfg.fault_schedule = faults;
-    cfg.crypto_work = crypto_work();
     let mut trace = MultiCoreTrace::mixed(&members, trace_seed(channels));
     run(&cfg, &mut trace, bench_insts()).expect("simulation config is valid")
 }
@@ -478,8 +456,6 @@ mod tests {
     fn env_defaults() {
         assert!(bench_insts() > 0);
         assert!(bench_devices() > 0);
-        // No harness test sets SYNERGY_CRYPTO_WORK, so the default holds.
-        assert_eq!(crypto_work(), CryptoWorkMode::Off);
     }
 
     #[test]

@@ -10,17 +10,17 @@
 //! into [`crate::MetricsSnapshot`] is order-sensitive, and that stays on
 //! the calling thread in deterministic cell order.
 //!
-//! Built on `std::thread::scope` (no rayon — the build is offline). The
+//! Built on [`synergy_obs::exec`] (no rayon — the build is offline). The
 //! worker count comes from `SYNERGY_BENCH_THREADS`, defaulting to the
 //! machine's available parallelism; `SYNERGY_BENCH_THREADS=1` reproduces
 //! the sequential run exactly, which `tests/sweep_determinism.rs` pins.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 use std::thread;
 
 use synergy_core::system::SimResult;
 use synergy_faultsim::FaultSchedule;
-use synergy_obs::{MetricRegistry, Stopwatch};
+use synergy_obs::{exec, MetricRegistry, Stopwatch};
 use synergy_secure::DesignConfig;
 use synergy_trace::presets::MixSpec;
 use synergy_trace::WorkloadSpec;
@@ -34,7 +34,7 @@ pub fn sweep_threads() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+        .unwrap_or_else(|| exec::resolve_threads(0))
 }
 
 /// The workload half of a sweep cell: a single benchmark in rate mode or
@@ -175,8 +175,9 @@ pub fn run_sweep(cells: &[SweepCell]) -> SweepReport {
 }
 
 /// Deterministic parallel map: applies `f` to every item on up to
-/// `threads` scoped workers (work-stealing via a shared atomic cursor) and
-/// returns the outputs in item order, independent of scheduling.
+/// `threads` workers (0 = available parallelism) of
+/// [`synergy_obs::exec`] and returns the outputs in item order,
+/// independent of scheduling.
 ///
 /// `f` must be a pure function of its arguments for the determinism
 /// guarantee to mean anything; the simulation entry points qualify because
@@ -184,47 +185,24 @@ pub fn run_sweep(cells: &[SweepCell]) -> SweepReport {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker (the first one joined).
+/// Propagates a panic from any worker.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("sweep worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was claimed exactly once"))
-        .collect()
+    let mut out = Vec::with_capacity(items.len());
+    let Ok(()) = exec::run_ordered(
+        0..items.len() as u64,
+        threads,
+        |i| f(i as usize, &items[i as usize]),
+        |_, r| {
+            out.push(r);
+            Ok::<(), Infallible>(())
+        },
+    );
+    out
 }
 
 #[cfg(test)]
@@ -251,20 +229,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(parallel_map(&empty, 8, |_, &x| x).is_empty());
         assert_eq!(parallel_map(&[7u32], 8, |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_map_single_thread_runs_inline_on_caller() {
-        // threads == 1 must take the spawn-free fast path: every call runs
-        // on the calling thread (cheap single-thread sweeps, and panics
-        // surface directly instead of through a worker join).
-        let caller = std::thread::current().id();
-        let ids = parallel_map(&[0u8; 17], 1, |_, _| std::thread::current().id());
-        assert!(ids.iter().all(|id| *id == caller));
-        // Degenerate worker counts collapse to the same inline path.
-        let ids = parallel_map(&[1u8], 64, |_, _| std::thread::current().id());
-        assert_eq!(ids, vec![caller]);
-        assert!(parallel_map(&Vec::<u8>::new(), 0, |_, _| std::thread::current().id()).is_empty());
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! A generic, checkpointable Monte-Carlo job fabric.
 //!
-//! This is the campaign crate's shard-queue engine (PR 3) promoted to a
-//! reusable subsystem: any embarrassingly-parallel job whose work items
-//! derive deterministically from *global indices* can run on it and
-//! inherit the repo's two load-bearing guarantees plus a new one:
+//! Any embarrassingly-parallel job whose work items derive
+//! deterministically from *global indices* can run on it and inherit three
+//! guarantees. The execution itself is [`synergy_obs::exec`], the
+//! workspace's one parallel executor; this module adds the job contract,
+//! the merge frontier and checkpoints.
 //!
 //! 1. **Thread-count invariance.** Work splits into fixed-size shards;
 //!    shard `i` covers items `[i·S, (i+1)·S)` and its result must be a
 //!    pure function of `(job, i)` — never of the worker that ran it.
-//!    Workers claim shards from a shared atomic queue and results merge
+//!    Workers claim shards from a shared counter and results merge
 //!    **in shard order**, so the final aggregate is bit-identical for any
 //!    worker count (including floating-point sums, which see one fixed
 //!    merge order).
 //! 2. **Bounded memory at any fleet size.** Completed shards stream into
 //!    a single running aggregate the moment they become the next in-order
-//!    shard; only out-of-order stragglers are buffered, and with `W`
-//!    workers at most `W` shard aggregates are ever alive. A billion-item
-//!    run costs the same memory as a thousand-item run.
+//!    shard; only shards that finish ahead of a slower earlier one are
+//!    buffered. A billion-item run costs the same memory as a
+//!    thousand-item run.
 //! 3. **Snapshot/resume.** The in-order merge maintains a *frontier*:
 //!    `(watermark, aggregate)` where `aggregate` is exactly the merge of
 //!    shards `[0, watermark)`. That pair — serialized as JSON via
@@ -25,19 +26,19 @@
 //!    **bit-identical** final aggregate, because nothing about a shard's
 //!    result or the merge order depends on where the run was cut
 //!    (`tests/fleet_resume.rs` proves this property-based, at 1/2/8
-//!    threads).
+//!    threads). Checkpoints are replaced atomically, so a kill during a
+//!    write leaves the previous one intact.
 //!
 //! The differential campaign ([`crate::engine`]) and the fleet lifetime
 //! simulator (`synergy-fleet`) are the two production jobs; the SCREME
 //! framework ("A Scalable Framework for Resilient Memory Design") is the
 //! design template for this streaming/checkpointing shape.
 
-use std::collections::BTreeMap;
+use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use synergy_obs::{export, Json};
+use synergy_obs::{exec, export, Json};
 
 /// A mergeable, JSON-serializable shard result.
 ///
@@ -163,8 +164,25 @@ impl<A: Aggregate> Checkpoint<A> {
     }
 
     /// Writes the checkpoint to `path` (parent directories are created).
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        export::write_file(path, &self.to_json())
+    ///
+    /// The document goes to a temporary file beside `path`, is synced to
+    /// disk, and is then renamed over `path`. A crash or error mid-write
+    /// therefore leaves the previous checkpoint intact.
+    pub fn write(&self, path: &Path) -> io::Result<()> {
+        let dir = path.parent().unwrap_or(Path::new(""));
+        fs::create_dir_all(dir)?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(self.to_json().as_bytes())?;
+        file.sync_all()?;
+        fs::rename(&tmp, path)?;
+        // Make the rename itself durable.
+        #[cfg(unix)]
+        fs::File::open(if dir.as_os_str().is_empty() { Path::new(".") } else { dir })?
+            .sync_all()?;
+        Ok(())
     }
 
     /// Reads a checkpoint back from `path`.
@@ -195,13 +213,6 @@ impl<A> FabricRun<A> {
     }
 }
 
-struct MergeState<A> {
-    watermark: u64,
-    merged: A,
-    pending: BTreeMap<u64, A>,
-    checkpoints_written: u64,
-}
-
 /// A job bound to a fabric configuration. See the [module docs](self).
 pub struct JobFabric<J: Job> {
     job: J,
@@ -225,8 +236,13 @@ impl<J: Job> JobFabric<J> {
     }
 
     /// Runs from scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a checkpoint write fails; [`resume`](Self::resume) and
+    /// [`resume_from`](Self::resume_from) return that as an error.
     pub fn run(&self) -> FabricRun<J::Agg> {
-        self.resume_from(None).expect("fresh runs cannot have checkpoint mismatches")
+        self.resume_from(None).unwrap_or_else(|e| panic!("fabric run: {e}"))
     }
 
     /// Resumes from the configured checkpoint path when a checkpoint file
@@ -242,9 +258,10 @@ impl<J: Job> JobFabric<J> {
 
     /// Runs the job, optionally continuing from `resume`.
     ///
-    /// Errors only on a checkpoint/job mismatch (wrong fingerprint,
+    /// Errors on a checkpoint/job mismatch (wrong fingerprint,
     /// inconsistent shard counts) — never silently recomputes or
-    /// continues under changed parameters.
+    /// continues under changed parameters — and on a failed checkpoint
+    /// write, which stops the run.
     pub fn resume_from(
         &self,
         resume: Option<Checkpoint<J::Agg>>,
@@ -276,81 +293,55 @@ impl<J: Job> JobFabric<J> {
             None => total_shards,
         };
 
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.cfg.threads
+        // Writes the frontier when checkpointing is on; returns how many
+        // files it wrote (0 or 1).
+        let checkpoint = |watermark: u64, merged: &J::Agg| match &self.cfg.checkpoint_path {
+            Some(path) => self
+                .write_checkpoint(path, watermark, merged)
+                .map(|()| 1)
+                .map_err(|e| format!("write checkpoint {}: {e}", path.display())),
+            None => Ok(0),
         };
-        let workers = threads.min((limit - base).max(1) as usize).max(1);
+        let every = self.cfg.checkpoint_every.filter(|&every| every > 0);
 
-        let state = Mutex::new(MergeState {
-            watermark: base,
-            merged: initial,
-            pending: BTreeMap::new(),
-            checkpoints_written: 0,
-        });
-        let next = AtomicU64::new(base);
-
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= limit {
-                        break;
-                    }
-                    let start = i * shard_items;
-                    let count = shard_items.min(items - start);
-                    let agg = self.job.run_shard(start, count);
-                    let mut st = state.lock().expect("fabric merge state poisoned");
-                    st.pending.insert(i, agg);
-                    // Stream every newly in-order shard into the frontier.
-                    while let Some(a) = {
-                        let w = st.watermark;
-                        st.pending.remove(&w)
-                    } {
-                        st.merged.merge(&a);
-                        st.watermark += 1;
-                        if let (Some(every), Some(_)) =
-                            (self.cfg.checkpoint_every, &self.cfg.checkpoint_path)
-                        {
-                            if every > 0 && st.watermark % every == 0 && st.watermark < limit {
-                                self.write_checkpoint(&mut st, total_shards);
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("fabric thread scope");
-
-        let mut st = state.into_inner().expect("fabric merge state poisoned");
-        debug_assert!(st.pending.is_empty(), "all claimed shards must have merged");
-        debug_assert_eq!(st.watermark, limit);
+        let mut merged = initial;
+        let mut watermark = base;
+        let mut checkpoints_written = 0;
+        exec::run_ordered(
+            base..limit,
+            self.cfg.threads,
+            |i| {
+                let start = i * shard_items;
+                self.job.run_shard(start, shard_items.min(items - start))
+            },
+            |_, agg| {
+                merged.merge(&agg);
+                watermark += 1;
+                if every.is_some_and(|every| watermark % every == 0) && watermark < limit {
+                    checkpoints_written += checkpoint(watermark, &merged)?;
+                }
+                Ok::<(), String>(())
+            },
+        )?;
+        debug_assert_eq!(watermark, limit);
         // The run always leaves its final frontier behind when
         // checkpointing is on: an interrupted run becomes resumable even
         // when the kill boundary is not a checkpoint_every multiple, and a
         // completed run makes any later `resume()` an instant no-op.
-        if self.cfg.checkpoint_path.is_some() {
-            self.write_checkpoint(&mut st, total_shards);
-        }
-        Ok(FabricRun {
-            aggregate: st.merged,
-            shards_done: st.watermark,
-            total_shards,
-            checkpoints_written: st.checkpoints_written,
-        })
+        checkpoints_written += checkpoint(watermark, &merged)?;
+        Ok(FabricRun { aggregate: merged, shards_done: watermark, total_shards, checkpoints_written })
     }
 
-    fn write_checkpoint(&self, st: &mut MergeState<J::Agg>, total_shards: u64) {
-        let path = self.cfg.checkpoint_path.as_ref().expect("caller checked path");
-        let cp = Checkpoint {
+    /// Writes the frontier `(watermark, merged)` to `path` as a
+    /// [`Checkpoint`].
+    fn write_checkpoint(&self, path: &Path, watermark: u64, merged: &J::Agg) -> io::Result<()> {
+        Checkpoint {
             fingerprint: self.job.fingerprint(),
-            total_shards,
-            watermark: st.watermark,
-            aggregate: st.merged.clone(),
-        };
-        cp.write(path).unwrap_or_else(|e| panic!("write checkpoint {}: {e}", path.display()));
-        st.checkpoints_written += 1;
+            total_shards: self.total_shards(),
+            watermark,
+            aggregate: merged.clone(),
+        }
+        .write(path)
     }
 }
 
@@ -478,6 +469,28 @@ mod tests {
             std::fs::remove_file(&path).ok();
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_checkpoint_write_keeps_the_previous_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("fabric-fail-{}", std::process::id()));
+        let path = dir.join("hash.ckpt.json");
+        let cfg = FabricConfig {
+            threads: 2,
+            checkpoint_every: Some(2),
+            checkpoint_path: Some(path.clone()),
+            stop_after_shards: Some(5),
+        };
+        JobFabric::new(job(1000), cfg.clone()).run();
+        let before = fs::read(&path).expect("interrupted run left a checkpoint");
+        // A directory where the temporary file goes makes the next write fail.
+        fs::create_dir(dir.join("hash.ckpt.json.tmp")).unwrap();
+        let err = JobFabric::new(job(1000), FabricConfig { stop_after_shards: None, ..cfg })
+            .resume()
+            .unwrap_err();
+        assert!(err.contains("write checkpoint"), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), before, "previous checkpoint changed");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

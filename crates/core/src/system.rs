@@ -38,7 +38,7 @@ use synergy_obs::{
 };
 use synergy_secure::layout::Region;
 use synergy_secure::{
-    CryptoEngine, CryptoWorkMode, DesignConfig, Expansion, SecureEngine,
+    DesignConfig, Expansion, SecureEngine,
 };
 use synergy_trace::{MultiCoreTrace, TraceRecord};
 
@@ -141,13 +141,6 @@ pub struct SystemConfig {
     pub mac_latency_mem_cycles: u64,
     /// How store misses are modeled (see [`StoreMissPolicy`]).
     pub store_miss: StoreMissPolicy,
-    /// Optional crypto work model: perform the *real* MAC/pad
-    /// computations the modeled controller would (via
-    /// [`synergy_secure::CryptoEngine`]), drained per-line or batched.
-    /// Affects host wall-clock only (`sim.cycles_per_sec`) — simulated
-    /// timing and statistics are byte-identical across modes, which the
-    /// determinism suite pins via the exported `crypto.*` checksums.
-    pub crypto_work: CryptoWorkMode,
 }
 
 /// Telemetry collection configuration.
@@ -194,7 +187,6 @@ impl SystemConfig {
             fault_schedule: FaultSchedule::default(),
             mac_latency_mem_cycles: 32,
             store_miss: StoreMissPolicy::default(),
-            crypto_work: CryptoWorkMode::Off,
         }
     }
 }
@@ -440,9 +432,6 @@ struct MemSide {
     tracer: SpanTracer,
     /// Reused DRAM drain buffer (avoids a `Vec` allocation per cycle).
     completions: Vec<synergy_dram::Completion>,
-    /// Optional crypto work model — real MAC/pad computations mirroring
-    /// the modeled traffic, drained once per tick.
-    crypto: Option<CryptoEngine>,
     /// Cycle attribution ledger (one row per [`RequestClass`]).
     attrib: CycleAttribution,
     /// Whether attribution hooks record anything.
@@ -456,12 +445,7 @@ struct MemSide {
 }
 
 impl MemSide {
-    fn new(
-        dram: MemorySystem,
-        tracer: SpanTracer,
-        crypto: Option<CryptoEngine>,
-        attrib_on: bool,
-    ) -> Self {
+    fn new(dram: MemorySystem, tracer: SpanTracer, attrib_on: bool) -> Self {
         let timing = dram.config().timing;
         Self {
             dram,
@@ -470,7 +454,6 @@ impl MemSide {
             next_id: 1,
             tracer,
             completions: Vec::with_capacity(64),
-            crypto,
             attrib: CycleAttribution::new(&RequestClass::ALL.map(|c| c.name())),
             attrib_on,
             push_cycle: IdHashMap::default(),
@@ -535,18 +518,6 @@ impl MemSide {
             if let Some((core, pos)) = self.load_map.remove(&completion.id) {
                 cores[core].mark_progress(pos);
             }
-            if completion.class == RequestClass::Data {
-                if let Some(crypto) = &mut self.crypto {
-                    // The controller MAC-verifies every returned data line.
-                    // The per-line write counter is not modeled in the
-                    // timing layer; the (deterministic) issue cycle stands
-                    // in for it, truncated to the paper's 56-bit width.
-                    crypto.note_read_completion(
-                        completion.addr,
-                        completion.issue_cycle & ((1 << 56) - 1),
-                    );
-                }
-            }
         }
         self.completions = buf;
         while let Some(req) = self.deferred.front().copied() {
@@ -557,11 +528,6 @@ impl MemSide {
                 break;
             }
         }
-        // One drain per tick: per-line mode issues a scalar crypto call
-        // per queued item, batched mode one batch call per kind.
-        if let Some(crypto) = &mut self.crypto {
-            crypto.drain();
-        }
     }
 
     /// Enqueues an access (deferring on full queues) and traces reads
@@ -569,14 +535,6 @@ impl MemSide {
     fn push_request(&mut self, spec: synergy_secure::AccessSpec, cycle: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        if spec.kind == AccessKind::Write && spec.class == RequestClass::Data {
-            if let Some(crypto) = &mut self.crypto {
-                // Posted data write: the controller derives the line's
-                // one-time pad (encryption happens before the write hits
-                // the bus). The issue cycle stands in for the counter.
-                crypto.note_data_write(spec.addr, cycle & ((1 << 56) - 1));
-            }
-        }
         if spec.kind == AccessKind::Read {
             // Writes are posted (no completion event to close the span),
             // so only reads are traced and attributed.
@@ -741,12 +699,7 @@ pub fn run(
     } else {
         SpanTracer::disabled()
     };
-    let mut mem = MemSide::new(
-        dram,
-        tracer,
-        CryptoEngine::new(cfg.crypto_work),
-        cfg.telemetry.attribution,
-    );
+    let mut mem = MemSide::new(dram, tracer, cfg.telemetry.attribution);
     let mut registry = MetricRegistry::new();
     let wall = synergy_obs::Stopwatch::start();
     let mut ff_jumps: u64 = 0;
@@ -919,18 +872,6 @@ pub fn run(
     // values in the result (excluded from determinism comparisons).
     registry.set_gauge("sim.cycles_per_sec", wall.rate(mem_cycle));
     registry.set_gauge("sim.wall_seconds", wall.elapsed_secs());
-    // Crypto work-model counters and order-independent checksums: the
-    // determinism suite pins these byte-identical between per-line and
-    // batched drains — the proof the batch APIs compute the same values.
-    if let Some(crypto) = &mem.crypto {
-        let cs = crypto.stats();
-        registry.set_counter("crypto.verifies", cs.verifies);
-        registry.set_counter("crypto.pads", cs.pads);
-        registry.set_counter("crypto.diagnosis_bursts", cs.diagnosis_bursts);
-        registry.set_counter("crypto.batch_calls", cs.batch_calls);
-        registry.set_counter("crypto.tag_checksum", cs.tag_checksum);
-        registry.set_counter("crypto.pad_checksum", cs.pad_checksum);
-    }
     registry.set_counter("sim.ff_jumps", ff_jumps);
     registry.set_counter("sim.ff_skipped_cycles", ff_skipped_cycles);
     registry.set_counter("sim.issue_scan_skips", mem.dram.scan_skips());
@@ -1067,11 +1008,6 @@ fn step_core(
                         remaining += 1;
                         core.llc_hits.push((mem_cycle + delay, pos));
                         mem.note_crypto_stall(delay);
-                    }
-                    if let Some(crypto) = &mut mem.crypto {
-                        // The burst's candidate-reconstruction MACs are
-                        // real computations under the work model.
-                        crypto.note_diagnosis_burst(addr, mem_cycle & ((1 << 56) - 1));
                     }
                 }
                 core.loads.push_back(OutstandingLoad { pos, remaining });

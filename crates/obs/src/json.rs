@@ -9,6 +9,12 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so a bound keeps hostile input (say, a
+/// corrupted checkpoint of 200k `[`) from overflowing the stack. The
+/// repository's own documents nest fewer than ten levels.
+pub(crate) const MAX_DEPTH: usize = 256;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -30,7 +36,7 @@ impl Json {
     /// Parse a complete JSON document; trailing whitespace is allowed,
     /// trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -101,6 +107,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays/objects enclosing `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -138,8 +146,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -321,6 +336,38 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["{", "[1,", "{\"a\" 1}", "01x", "\"\\q\"", "{} trailing"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Unterminated hostile input fails cleanly instead of overflowing
+        // the stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn parses_every_committed_baseline() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        for (dir, prefix) in [("baselines/metrics", ""), ("perfbench", "baseline")] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if name.starts_with(prefix) && name.ends_with(".json") {
+                    files.push(path);
+                }
+            }
+        }
+        assert!(files.len() >= 4, "baselines not found: {files:?}");
+        for path in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         }
     }
 

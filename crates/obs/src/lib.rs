@@ -27,6 +27,9 @@
 //!   under `target/experiments/metrics/`.
 //! * [`Json`] — a matching minimal JSON reader, enough to re-read the
 //!   crate's own exports (round-trip tests, the `perf_gate` bin).
+//! * [`exec`] — the one parallel executor: ordered shards on scoped
+//!   threads, merged in index order (fig11 Monte Carlo, job fabric, sweep
+//!   runner).
 //! * [`Stopwatch`] — wall-clock timing for simulator-throughput gauges
 //!   (`sim.cycles_per_sec`); never feeds back into simulated behaviour.
 
@@ -34,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod attrib;
+pub mod exec;
 pub mod export;
 pub mod hist;
 pub mod inline_vec;

@@ -19,7 +19,7 @@ use synergy_bench::{parallel_map, trace_seed};
 use synergy_core::system::{run, SimResult, SystemConfig};
 use synergy_dram::DramConfig;
 use synergy_faultsim::FaultSchedule;
-use synergy_secure::{CryptoWorkMode, DesignConfig};
+use synergy_secure::DesignConfig;
 use synergy_trace::{presets, MultiCoreTrace};
 
 /// Small but non-trivial scale: enough instructions to exercise refresh,
@@ -39,24 +39,12 @@ fn run_cell_with_faults(
     fast_forward: bool,
     faults: FaultSchedule,
 ) -> SimResult {
-    run_cell_crypto(design, workload, channels, fast_forward, faults, CryptoWorkMode::Off)
-}
-
-fn run_cell_crypto(
-    design: DesignConfig,
-    workload: &str,
-    channels: usize,
-    fast_forward: bool,
-    faults: FaultSchedule,
-    crypto_work: CryptoWorkMode,
-) -> SimResult {
     let w = presets::by_name(workload).expect("workload preset exists");
     let mut cfg = SystemConfig::new(design);
     cfg.dram = DramConfig::with_channels(channels);
     cfg.warmup_records_per_core = WARMUP;
     cfg.fast_forward = fast_forward;
     cfg.fault_schedule = faults;
-    cfg.crypto_work = crypto_work;
     // The same seed derivation the bench harness uses: cell parameters
     // only, never the design (see `synergy_bench::trace_seed`).
     let mut trace = MultiCoreTrace::rate_mode(&w, cfg.cores, trace_seed(channels));
@@ -158,60 +146,6 @@ fn degraded_runs_are_deterministic() {
         });
         assert_identical(&fast, &threaded[0], &format!("{what} (threaded)"));
     }
-}
-
-#[test]
-fn crypto_work_batched_matches_per_line() {
-    // The secure engine's crypto work model (real AES-GCM tag checks and
-    // pad generation for the modeled traffic) is a host-side perf layer:
-    // whether lines are verified one at a time or drained through the
-    // batch APIs, and however many sweep threads run the cell, the
-    // simulated results and the order-independent crypto checksums must
-    // be bit-identical. A degraded run is the interesting case — the
-    // diagnosis burst exercises the 9-candidate batch path.
-    let faults = || FaultSchedule::chip_failure_at(3_000, 3);
-    let per_line = run_cell_crypto(
-        DesignConfig::synergy(), "mcf", 2, true, faults(), CryptoWorkMode::PerLine,
-    );
-    let batched = run_cell_crypto(
-        DesignConfig::synergy(), "mcf", 2, true, faults(), CryptoWorkMode::Batched,
-    );
-    assert_identical(&per_line, &batched, "crypto per-line vs batched");
-
-    // The crypto work itself must match, not just the simulation around
-    // it: same number of verifies/pads/bursts and — the strong pin —
-    // identical XOR checksums over every tag and pad computed.
-    let c = |r: &SimResult, name: &str| r.telemetry.registry.counter(name).unwrap_or(0);
-    for name in [
-        "crypto.verifies",
-        "crypto.pads",
-        "crypto.diagnosis_bursts",
-        "crypto.tag_checksum",
-        "crypto.pad_checksum",
-    ] {
-        assert_eq!(c(&per_line, name), c(&batched, name), "{name}");
-    }
-    // Not vacuous: real work happened, and the batched run actually took
-    // the batch path (per-line must never touch it).
-    assert!(c(&per_line, "crypto.verifies") > 0, "no lines verified");
-    assert_ne!(c(&per_line, "crypto.tag_checksum"), 0, "tag checksum vacuously zero");
-    assert!(c(&per_line, "crypto.diagnosis_bursts") > 0, "diagnosis burst never ran");
-    assert_eq!(c(&per_line, "crypto.batch_calls"), 0, "per-line run used batch APIs");
-    assert!(c(&batched, "crypto.batch_calls") > 0, "batched run never batched");
-
-    // And the sweep runner sees a pure function of the cell: the same
-    // batched run under 8 worker threads is bit-identical too.
-    let threaded = parallel_map(&[()], 8, |_, _| {
-        run_cell_crypto(
-            DesignConfig::synergy(), "mcf", 2, true, faults(), CryptoWorkMode::Batched,
-        )
-    });
-    assert_identical(&batched, &threaded[0], "crypto batched (threaded)");
-    assert_eq!(
-        c(&batched, "crypto.tag_checksum"),
-        c(&threaded[0], "crypto.tag_checksum"),
-        "threaded tag checksum"
-    );
 }
 
 #[test]
