@@ -10,23 +10,25 @@
 //! (`gmac_line_tag/simd` vs `gmac_line_tag/table` vs
 //! `gmac_line_tag/reference`). Batched entry points
 //! ([`Gmac::line_tags_batch`], [`LineCipher::pads_batch`],
-//! [`Aes128::encrypt_blocks`]) get `batch8` rows alongside the scalar
-//! ones.
+//! [`Aes128::encrypt_blocks`]) get `<backend>_batch8` rows alongside the
+//! scalar ones.
 //!
-//! After the criterion groups run, a plain `std::time::Instant` harness —
-//! the same methodology `BENCH_crypto.json` records — replays the
-//! backend × mode matrix and writes
+//! Every benchmark is named `<kernel>/<backend>[_batch8]`. After the
+//! groups run, the same measurements are written to
 //! `target/experiments/micro_crypto_backends.csv` (one row per
-//! kernel/backend/mode with ns/op), so CI can archive the comparison
-//! without parsing criterion output.
+//! kernel/backend/mode with ns per block or line and the speedup over
+//! the kernel's table/scalar row), so CI can archive the comparison
+//! without parsing the console report.
 
-use criterion::{criterion_group, Criterion, Throughput};
+use criterion::{Criterion, Throughput};
 use std::hint::black_box;
-use std::time::Instant;
 use synergy_crypto::ctr::LineCipher;
 use synergy_crypto::cw_mac::CarterWegmanMac;
 use synergy_crypto::gmac::Gmac;
 use synergy_crypto::{Aes128, Backend, CacheLine, EncryptionKey, MacKey};
+
+/// Items one `_batch8` call processes.
+const BATCH: u64 = 8;
 
 /// Backends runnable on this host, best first.
 fn backends() -> Vec<(Backend, &'static str)> {
@@ -39,22 +41,30 @@ fn backends() -> Vec<(Backend, &'static str)> {
 
 fn bench_aes(c: &mut Criterion) {
     let block = [0x3Cu8; 16];
-    let mut g = c.benchmark_group("aes128");
-    g.throughput(Throughput::Bytes(16));
+    let mut g = c.benchmark_group("aes_encrypt_block");
     for (backend, label) in backends() {
         let aes = Aes128::with_backend(&[7u8; 16], backend);
-        g.bench_function(&format!("encrypt_block/{label}"), |b| {
-            b.iter(|| aes.encrypt_block(black_box(&block)))
+        g.throughput(Throughput::Bytes(16));
+        g.bench_function(label, |b| b.iter(|| aes.encrypt_block(black_box(&block))));
+        g.throughput(Throughput::Bytes(16 * BATCH));
+        let mut blocks = [block; BATCH as usize];
+        g.bench_function(&format!("{label}_batch8"), |b| {
+            b.iter(|| aes.encrypt_blocks(black_box(&mut blocks)))
         });
     }
+    g.throughput(Throughput::Bytes(16));
     let aes = Aes128::new(&[7u8; 16]);
-    g.bench_function("encrypt_block_reference", |b| {
+    g.bench_function("reference", |b| {
         b.iter(|| aes.encrypt_block_reference(black_box(&block)))
     });
-    g.bench_function("decrypt_block", |b| {
-        let ct = aes.encrypt_block(&block);
-        b.iter(|| aes.decrypt_block(black_box(&ct)))
-    });
+    g.finish();
+
+    let mut g = c.benchmark_group("aes_decrypt_block");
+    g.throughput(Throughput::Bytes(16));
+    let (backend, label) = backends()[0];
+    let aes = Aes128::with_backend(&[7u8; 16], backend);
+    let ct = aes.encrypt_block(&block);
+    g.bench_function(label, |b| b.iter(|| aes.decrypt_block(black_box(&ct))));
     g.finish();
 }
 
@@ -71,15 +81,10 @@ fn bench_ctr(c: &mut Criterion) {
                 cipher.encrypt(black_box(0x4000), black_box(ctr), black_box(&line))
             })
         });
-        g.throughput(Throughput::Bytes(64 * 8));
+        g.throughput(Throughput::Bytes(64 * BATCH));
+        let nonces: Vec<(u64, u64)> = (0..BATCH).map(|i| (0x4000 + i * 64, 9)).collect();
         g.bench_function(&format!("{label}_batch8"), |b| {
-            let mut ctr = 0u64;
-            b.iter(|| {
-                ctr += 1;
-                let nonces: Vec<(u64, u64)> =
-                    (0..8u64).map(|i| (0x4000 + i * 64, ctr)).collect();
-                cipher.pads_batch(black_box(&nonces))
-            })
+            b.iter(|| cipher.pads_batch(black_box(&nonces)))
         });
     }
     g.throughput(Throughput::Bytes(64));
@@ -103,10 +108,10 @@ fn bench_gmac(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| gmac.line_tag(black_box(0x4000), black_box(9), black_box(&line)))
         });
-        g.throughput(Throughput::Bytes(64 * 8));
+        g.throughput(Throughput::Bytes(64 * BATCH));
+        let items: Vec<(u64, u64, &CacheLine)> =
+            (0..BATCH).map(|i| (0x4000 + i * 64, 9, &line)).collect();
         g.bench_function(&format!("{label}_batch8"), |b| {
-            let items: Vec<(u64, u64, &CacheLine)> =
-                (0..8u64).map(|i| (0x4000 + i * 64, 9, &line)).collect();
             b.iter(|| gmac.line_tags_batch(black_box(&items)))
         });
     }
@@ -135,199 +140,48 @@ fn bench_cw(c: &mut Criterion) {
     g.finish();
 }
 
-/// ns/op over `iters` calls of `f`, after a 10% warm-up — the same
-/// Instant-based harness `BENCH_crypto.json`'s methodology describes.
-fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
-    for _ in 0..(iters / 10).max(1) {
-        f();
-    }
-    let t = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t.elapsed().as_nanos() as f64 / iters as f64
-}
-
-struct MatrixRow {
-    kernel: &'static str,
-    backend: &'static str,
-    mode: &'static str,
-    iters: u64,
-    ns: f64,
-}
-
-/// Replays the backend × mode matrix with the Instant harness and writes
-/// `micro_crypto_backends.csv`. Batched rows report ns per *item* (a
-/// batch-8 call amortizes over its 8 lines), so every row is directly
-/// comparable.
-fn backend_matrix() {
-    const BATCH: u64 = 8;
-    let line = CacheLine::from_bytes([0x5A; 64]);
-    let block = [0x3Cu8; 16];
-    let mut rows: Vec<MatrixRow> = Vec::new();
-
-    for (backend, label) in backends() {
-        let aes = Aes128::with_backend(&[7u8; 16], backend);
-        rows.push(MatrixRow {
-            kernel: "aes_encrypt_block",
-            backend: label,
-            mode: "scalar",
-            iters: 1_000_000,
-            ns: time_ns(1_000_000, || {
-                black_box(aes.encrypt_block(black_box(&block)));
-            }),
-        });
-        let mut blocks = [[0x3Cu8; 16]; BATCH as usize];
-        rows.push(MatrixRow {
-            kernel: "aes_encrypt_block",
-            backend: label,
-            mode: "batch8",
-            iters: 125_000 * BATCH,
-            ns: time_ns(125_000, || aes.encrypt_blocks(black_box(&mut blocks))) / BATCH as f64,
-        });
-
-        let cipher = LineCipher::with_backend(&EncryptionKey::from_bytes([1; 16]), backend);
-        rows.push(MatrixRow {
-            kernel: "ctr_encrypt_line",
-            backend: label,
-            mode: "scalar",
-            iters: 300_000,
-            ns: time_ns(300_000, || {
-                black_box(cipher.encrypt(black_box(0x4000), black_box(9), black_box(&line)));
-            }),
-        });
-        let nonces: Vec<(u64, u64)> = (0..BATCH).map(|i| (0x4000 + i * 64, 9)).collect();
-        rows.push(MatrixRow {
-            kernel: "ctr_encrypt_line",
-            backend: label,
-            mode: "batch8",
-            iters: 40_000 * BATCH,
-            ns: time_ns(40_000, || {
-                black_box(cipher.pads_batch(black_box(&nonces)));
-            }) / BATCH as f64,
-        });
-
-        let gmac = Gmac::with_backend(&MacKey::from_bytes([2; 16]), backend);
-        rows.push(MatrixRow {
-            kernel: "gmac_line_tag",
-            backend: label,
-            mode: "scalar",
-            iters: 300_000,
-            ns: time_ns(300_000, || {
-                black_box(gmac.line_tag(black_box(0x4000), black_box(9), black_box(&line)));
-            }),
-        });
-        let items: Vec<(u64, u64, &CacheLine)> =
-            (0..BATCH).map(|i| (0x4000 + i * 64, 9, &line)).collect();
-        rows.push(MatrixRow {
-            kernel: "gmac_line_tag",
-            backend: label,
-            mode: "batch8",
-            iters: 40_000 * BATCH,
-            ns: time_ns(40_000, || {
-                black_box(gmac.line_tags_batch(black_box(&items)));
-            }) / BATCH as f64,
-        });
-
-        let cw = CarterWegmanMac::with_backend(&MacKey::from_bytes([3; 16]), backend);
-        rows.push(MatrixRow {
-            kernel: "cw_tag_line",
-            backend: label,
-            mode: "scalar",
-            iters: 300_000,
-            ns: time_ns(300_000, || {
-                black_box(cw.line_tag(black_box(0x4000), black_box(9), black_box(&line)));
-            }),
-        });
-    }
-
-    // The bit-serial oracles are backend-independent; one row each.
-    let aes = Aes128::new(&[7u8; 16]);
-    rows.push(MatrixRow {
-        kernel: "aes_encrypt_block",
-        backend: "reference",
-        mode: "scalar",
-        iters: 100_000,
-        ns: time_ns(100_000, || {
-            black_box(aes.encrypt_block_reference(black_box(&block)));
-        }),
-    });
-    let cipher = LineCipher::new(&EncryptionKey::from_bytes([1; 16]));
-    rows.push(MatrixRow {
-        kernel: "ctr_encrypt_line",
-        backend: "reference",
-        mode: "scalar",
-        iters: 20_000,
-        ns: time_ns(20_000, || {
-            black_box(cipher.encrypt_reference(black_box(0x4000), black_box(9), black_box(&line)));
-        }),
-    });
-    let gmac = Gmac::new(&MacKey::from_bytes([2; 16]));
-    rows.push(MatrixRow {
-        kernel: "gmac_line_tag",
-        backend: "reference",
-        mode: "scalar",
-        iters: 20_000,
-        ns: time_ns(20_000, || {
-            black_box(gmac.line_tag_reference(black_box(0x4000), black_box(9), black_box(&line)));
-        }),
-    });
-    let cw = CarterWegmanMac::new(&MacKey::from_bytes([3; 16]));
-    rows.push(MatrixRow {
-        kernel: "cw_tag_line",
-        backend: "reference",
-        mode: "scalar",
-        iters: 20_000,
-        ns: time_ns(20_000, || {
-            black_box(cw.line_tag_reference(black_box(0x4000), black_box(9), black_box(&line)));
-        }),
-    });
-
-    // Speedup of each row relative to the same kernel's table/scalar row.
-    let table_ns = |kernel: &str| {
-        rows.iter()
-            .find(|r| r.kernel == kernel && r.backend == "table" && r.mode == "scalar")
-            .map(|r| r.ns)
-    };
-    let speedups: Vec<String> = rows
+/// Writes `micro_crypto_backends.csv` from the measurements and prints
+/// the same matrix. Batched rows report ns per *item* (a batch-8 call
+/// amortizes over its 8 blocks or lines), so every row of a kernel is
+/// directly comparable.
+fn export_matrix(c: &Criterion) {
+    let rows: Vec<(&str, &str, &str, f64)> = c
+        .measurements()
         .iter()
-        .map(|r| table_ns(r.kernel).map_or_else(String::new, |t| format!("{:.2}", t / r.ns)))
+        .map(|m| {
+            let (kernel, variant) = m.name.split_once('/').unwrap_or((&m.name, ""));
+            match variant.strip_suffix("_batch8") {
+                Some(backend) => (kernel, backend, "batch8", m.median_ns / BATCH as f64),
+                None => (kernel, variant, "scalar", m.median_ns),
+            }
+        })
+        .collect();
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|&(kernel, backend, mode, ns)| {
+            // Speedup relative to the same kernel's table/scalar row.
+            let speedup = rows
+                .iter()
+                .find(|r| r.0 == kernel && r.1 == "table" && r.2 == "scalar")
+                .map_or_else(String::new, |t| format!("{:.2}", t.3 / ns));
+            vec![kernel.into(), backend.into(), mode.into(), format!("{ns:.1}"), speedup]
+        })
         .collect();
 
-    println!("\nbackend × mode matrix (Instant harness, ns/op; speedup vs table/scalar):");
-    synergy_bench::print_table(
-        &["kernel", "backend", "mode", "ns_per_op", "vs_table"],
-        &rows
-            .iter()
-            .zip(&speedups)
-            .map(|(r, s)| {
-                vec![
-                    r.kernel.to_string(),
-                    r.backend.to_string(),
-                    r.mode.to_string(),
-                    format!("{:.1}", r.ns),
-                    s.clone(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    println!("\nbackend × mode matrix (ns/op; speedup vs table/scalar):");
+    synergy_bench::print_table(&["kernel", "backend", "mode", "ns_per_op", "vs_table"], &table);
     synergy_bench::write_csv(
         "micro_crypto_backends",
-        "kernel,backend,mode,iters,ns_per_op,speedup_vs_table_scalar",
-        &rows
-            .iter()
-            .zip(&speedups)
-            .map(|(r, s)| {
-                format!("{},{},{},{},{:.1},{}", r.kernel, r.backend, r.mode, r.iters, r.ns, s)
-            })
-            .collect::<Vec<_>>(),
+        "kernel,backend,mode,ns_per_op,speedup_vs_table_scalar",
+        &table.iter().map(|r| r.join(",")).collect::<Vec<_>>(),
     );
 }
 
-criterion_group!(benches, bench_aes, bench_ctr, bench_gmac, bench_cw);
-
 fn main() {
-    benches();
-    Criterion::default().configure_from_args().final_summary();
-    backend_matrix();
+    let mut c = Criterion::default().configure_from_args();
+    bench_aes(&mut c);
+    bench_ctr(&mut c);
+    bench_gmac(&mut c);
+    bench_cw(&mut c);
+    export_matrix(&c);
 }

@@ -16,9 +16,11 @@
 //! * `system_run_saturated` — end-to-end `run` on a memory-saturated
 //!   streaming workload (lbm), the macro number the sweep cares about.
 //!
-//! Run with `--quick` for CI-friendly measurement times.
+//! The same measurements go to `target/experiments/micro_engine.csv`
+//! (`group,benchmark,ns_per_iter`). Run with `--quick` for CI-friendly
+//! measurement times.
 
-use criterion::{criterion_group, Criterion, Throughput};
+use criterion::{Criterion, Throughput};
 use std::hint::black_box;
 use synergy_bench::trace_seed;
 use synergy_cache::{CacheConfig, SetAssocCache};
@@ -162,64 +164,28 @@ fn bench_system_saturated(c: &mut Criterion) {
     g.finish();
 }
 
-fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
-    for _ in 0..(iters / 10).max(1) {
-        f();
-    }
-    let t = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t.elapsed().as_nanos() as f64 / iters as f64
+/// Writes `target/experiments/micro_engine.csv` from the measurements:
+/// one row per benchmark, split into its group (the operation) and name
+/// (the design, or the probe/run variant), so CI can archive the engine
+/// hot-path numbers.
+fn export_csv(c: &Criterion) {
+    let rows: Vec<String> = c
+        .measurements()
+        .iter()
+        .map(|m| {
+            let (group, bench) = m.name.split_once('/').unwrap_or((&m.name, ""));
+            format!("{group},{bench},{:.1}", m.median_ns)
+        })
+        .collect();
+    synergy_bench::write_csv("micro_engine", "group,benchmark,ns_per_iter", &rows);
 }
-
-/// Replays the per-design expansion matrix with a plain Instant harness
-/// and writes `target/experiments/micro_engine.csv` (one row per
-/// design × operation) so CI can archive engine hot-path numbers.
-fn export_csv() {
-    let mut rows: Vec<String> = Vec::new();
-    const ITERS: u64 = 200_000;
-    for (name, design) in designs() {
-        let (mut engine, mut llc) = fresh_pair(&design);
-        let mut exp = Expansion::default();
-        let lines = (4u64 << 20) / 64;
-        for i in 0..lines {
-            engine.expand_read_into(i * 64, &mut llc, &mut exp);
-        }
-        let mut i = 0u64;
-        let warm = time_ns(ITERS, || {
-            i = (i + 1) % lines;
-            engine.expand_read_into(i * 64, &mut llc, &mut exp);
-        });
-        let mut i = 0u64;
-        let wb = time_ns(ITERS, || {
-            i = (i + 1) % lines;
-            engine.expand_writeback_into(i * 64, &mut llc, &mut exp);
-        });
-        let stride = 1u64 << 15;
-        let span = DATA_BYTES / stride;
-        let mut i = 0u64;
-        let cold = time_ns(ITERS, || {
-            i = (i + 1) % span;
-            engine.expand_read_into(i * stride, &mut llc, &mut exp);
-        });
-        rows.push(format!("{name},expand_read_warm,{ITERS},{warm:.1}"));
-        rows.push(format!("{name},expand_read_cold,{ITERS},{cold:.1}"));
-        rows.push(format!("{name},expand_writeback,{ITERS},{wb:.1}"));
-    }
-    synergy_bench::write_csv("micro_engine", "design,operation,iters,ns_per_op", &rows);
-}
-
-criterion_group!(
-    benches,
-    bench_expand_read_warm,
-    bench_expand_read_cold,
-    bench_expand_writeback,
-    bench_metadata_cache_probe,
-    bench_system_saturated,
-);
 
 fn main() {
-    benches();
-    export_csv();
+    let mut c = Criterion::default().configure_from_args();
+    bench_expand_read_warm(&mut c);
+    bench_expand_read_cold(&mut c);
+    bench_expand_writeback(&mut c);
+    bench_metadata_cache_probe(&mut c);
+    bench_system_saturated(&mut c);
+    export_csv(&c);
 }

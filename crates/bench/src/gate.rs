@@ -305,6 +305,27 @@ mod tests {
     }
 
     #[test]
+    fn every_truncated_fresh_snapshot_is_an_error() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../baselines/metrics/fig08_performance.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let base = snapshot(1.5, 6_000, 4_000);
+        // A fresh snapshot cut short (an interrupted bench run) is refused
+        // with an error, never a panic or a silent pass. The cuts cover
+        // every byte of the opening 2 KiB and of the first span list —
+        // each parser state: key, string, number, nested object, array —
+        // and every 97th byte elsewhere; cutting at all 81k bytes costs
+        // minutes in an unoptimized test build.
+        let spans = text.find("\"slowest_spans\"").unwrap();
+        let cut = |end: usize| end < 2048 || (spans..spans + 512).contains(&end) || end.is_multiple_of(97);
+        for end in (0..text.len()).filter(|&end| cut(end) && text.is_char_boundary(end)) {
+            let r = gate_snapshot("fig08_performance.json", &base, &text[..end], DEFAULT_RULES);
+            assert!(r.is_err(), "prefix of {end} bytes accepted");
+        }
+        assert!(gate_snapshot("fig08_performance.json", &base, &text, DEFAULT_RULES).is_ok());
+    }
+
+    #[test]
     fn first_matching_rule_wins() {
         assert_eq!(rule_for(DEFAULT_RULES, "attrib.share.queue_wait"), Tolerance::Absolute(0.05));
         assert_eq!(rule_for(DEFAULT_RULES, "attrib.cycles.queue_wait"), Tolerance::Relative(0.08));

@@ -316,7 +316,6 @@ impl MetricsSnapshot {
         d.registry.add_counter("engine.counter_misses", r.engine.counter_misses);
         d.registry.add_counter("engine.tree_fetches", r.engine.tree_fetches);
         d.registry.add_counter("spans.completed", r.telemetry.spans_completed);
-        d.registry.add_counter("spans.dropped", r.telemetry.spans_dropped);
         d.attrib.merge(&r.attrib);
         self.merge_spans(design, &r.telemetry.slowest);
     }
@@ -461,11 +460,9 @@ mod tests {
     #[test]
     fn metrics_snapshot_aggregates_and_renders() {
         use synergy_obs::{SpanPhase, SpanTracer};
-        let mut t = SpanTracer::for_system();
-        t.start(1, 0x40, "data", SpanPhase::LlcMiss, 0);
-        t.complete(1, 50);
-        t.start(2, 0x80, "counter", SpanPhase::LlcMiss, 10);
-        t.complete(2, 100);
+        let mut t = SpanTracer::new(16);
+        t.record(1, 0x40, "data", &[(SpanPhase::LlcMiss, 0), (SpanPhase::Complete, 50)]);
+        t.record(2, 0x80, "counter", &[(SpanPhase::LlcMiss, 10), (SpanPhase::Complete, 100)]);
         let mut reg = MetricRegistry::new();
         reg.set_counter("x", 3);
         let mut snap = MetricsSnapshot::with_top_k(1);

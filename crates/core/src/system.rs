@@ -149,8 +149,9 @@ pub struct TelemetryConfig {
     /// Memory cycles between epoch samples of the metric registry into the
     /// time-series exported with the run (0 disables sampling).
     pub epoch_mem_cycles: u64,
-    /// Whether to trace individual request lifecycles (bounded cost:
-    /// fixed-capacity open table + ring + top-K).
+    /// Whether to trace individual request lifecycles (each read is
+    /// folded into phase histograms at completion; only the top-K
+    /// slowest are kept as spans).
     pub trace_spans: bool,
     /// How many slowest requests to retain with per-phase breakdowns.
     pub top_k: usize,
@@ -271,8 +272,6 @@ pub struct Telemetry {
     pub slowest: Vec<Span>,
     /// Spans completed by the tracer.
     pub spans_completed: u64,
-    /// Spans dropped because the tracer's open table was full.
-    pub spans_dropped: u64,
 }
 
 impl SimResult {
@@ -419,9 +418,9 @@ impl std::hash::Hasher for IdHasher {
 type IdHashMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<IdHasher>>;
 
 /// The memory side of the system — DRAM, its back-pressure queue, the
-/// outstanding-load map, request-id allocation and the request tracer —
-/// bundled so the issue path threads one mutable handle instead of five
-/// parallel loose references.
+/// outstanding-load map, request-id allocation and the lifecycle views
+/// (spans, attribution) — bundled so the issue path threads one mutable
+/// handle instead of five parallel loose references.
 struct MemSide {
     dram: MemorySystem,
     /// Requests the DRAM queues rejected, replayed in order.
@@ -429,15 +428,15 @@ struct MemSide {
     /// Request id → (core, rob position) for loads blocking retirement.
     load_map: IdHashMap<(usize, u64)>,
     next_id: u64,
-    tracer: SpanTracer,
+    /// Request spans, when traced.
+    tracer: Option<SpanTracer>,
     /// Reused DRAM drain buffer (avoids a `Vec` allocation per cycle).
     completions: Vec<synergy_dram::Completion>,
-    /// Cycle attribution ledger (one row per [`RequestClass`]).
-    attrib: CycleAttribution,
-    /// Whether attribution hooks record anything.
-    attrib_on: bool,
-    /// Request id → cycle `push_request` accepted it; the completion hook
-    /// telescopes push→enqueue→bank-ready→issue→complete into buckets.
+    /// Cycle attribution ledger (one row per [`RequestClass`]), when on.
+    attrib: Option<CycleAttribution>,
+    /// Read id → cycle `push_request` accepted it. With the DRAM
+    /// completion's own stamps this is the read's whole lifecycle, from
+    /// which the completion hook builds its span and attribution split.
     push_cycle: IdHashMap<u64>,
     /// DDR timing (copied out of the DRAM config so the completion loop
     /// can consult refresh geometry without re-borrowing the system).
@@ -445,75 +444,44 @@ struct MemSide {
 }
 
 impl MemSide {
-    fn new(dram: MemorySystem, tracer: SpanTracer, attrib_on: bool) -> Self {
+    fn new(dram: MemorySystem, telemetry: &TelemetryConfig) -> Self {
         let timing = dram.config().timing;
         Self {
             dram,
             deferred: VecDeque::new(),
             load_map: IdHashMap::default(),
             next_id: 1,
-            tracer,
+            tracer: telemetry.trace_spans.then(|| SpanTracer::new(telemetry.top_k)),
             completions: Vec::with_capacity(64),
-            attrib: CycleAttribution::new(&RequestClass::ALL.map(|c| c.name())),
-            attrib_on,
+            attrib: telemetry
+                .attribution
+                .then(|| CycleAttribution::new(&RequestClass::ALL.map(|c| c.name()))),
             push_cycle: IdHashMap::default(),
             timing,
         }
     }
 
-    /// The attribution ledger, if enabled (for publication).
-    fn attribution(&self) -> Option<&CycleAttribution> {
-        self.attrib_on.then_some(&self.attrib)
-    }
-
-    /// Charges an LLC hit's fixed latency to the `LlcHit` bucket.
-    fn note_llc_hit(&mut self, latency: u64) {
-        if self.attrib_on {
+    /// Charges a data read that never reaches DRAM — an LLC hit's fixed
+    /// latency or an on-controller crypto stall such as the §III-B ≤9-MAC
+    /// diagnosis burst — to `bucket`.
+    fn note_fixed_latency(&mut self, bucket: AttribBucket, cycles: u64) {
+        if let Some(attrib) = &mut self.attrib {
             let class = RequestClass::Data.index();
-            self.attrib.record(class, AttribBucket::LlcHit, latency);
-            self.attrib.close_request(class, latency);
+            attrib.record(class, bucket, cycles);
+            attrib.close_request(class, cycles);
         }
     }
 
-    /// Charges an on-controller crypto stall (e.g. the §III-B ≤9-MAC
-    /// diagnosis burst) to the `CryptoWork` bucket.
-    fn note_crypto_stall(&mut self, cycles: u64) {
-        if self.attrib_on {
-            let class = RequestClass::Data.index();
-            self.attrib.record(class, AttribBucket::CryptoWork, cycles);
-            self.attrib.close_request(class, cycles);
-        }
-    }
-
-    /// Advances DRAM one cycle: delivers completions (closing spans and
-    /// unblocking loads) and replays deferred requests into freed queues.
+    /// Advances DRAM one cycle: delivers completions (recording each
+    /// read's lifecycle and unblocking loads) and replays deferred
+    /// requests into freed queues.
     fn tick(&mut self, cores: &mut [Core], cycle: u64) {
         let mut buf = std::mem::take(&mut self.completions);
         buf.clear();
         self.dram.tick_into(&mut buf);
         for completion in buf.drain(..) {
-            self.tracer
-                .event(completion.id, SpanPhase::DramIssue, completion.issue_cycle);
-            self.tracer.complete(completion.id, cycle);
             if let Some(push) = self.push_cycle.remove(&completion.id) {
-                // Telescoping decomposition push → enqueue → bank-ready →
-                // issue → complete: every cycle lands in exactly one
-                // bucket, so the ledger conserves end-to-end latency by
-                // construction (zero tolerance — see tests/attribution.rs).
-                let class = completion.class.index();
-                let enq = completion.enqueue_cycle.max(push);
-                let ready = completion.bank_ready_cycle.clamp(enq, completion.issue_cycle);
-                let issue = completion.issue_cycle.max(ready).min(cycle);
-                let refresh = self.timing.refresh_overlap(enq, ready);
-                self.attrib.record(
-                    class,
-                    AttribBucket::QueueWait,
-                    (enq - push) + (issue - ready),
-                );
-                self.attrib.record(class, AttribBucket::RefreshStall, refresh);
-                self.attrib.record(class, AttribBucket::BankBusy, (ready - enq) - refresh);
-                self.attrib.record(class, AttribBucket::BusTransfer, cycle - issue);
-                self.attrib.close_request(class, cycle - push);
+                self.record_lifecycle(&completion, push, cycle);
             }
             if let Some((core, pos)) = self.load_map.remove(&completion.id) {
                 cores[core].mark_progress(pos);
@@ -522,7 +490,6 @@ impl MemSide {
         self.completions = buf;
         while let Some(req) = self.deferred.front().copied() {
             if self.dram.enqueue(req) {
-                self.tracer.event(req.id, SpanPhase::DramEnqueue, cycle);
                 self.deferred.pop_front();
             } else {
                 break;
@@ -530,29 +497,58 @@ impl MemSide {
         }
     }
 
-    /// Enqueues an access (deferring on full queues) and traces reads
-    /// through their lifecycle phases.
+    /// Folds one read, pushed at `push` and completed at `cycle`, into the
+    /// attribution ledger and the span tracer.
+    fn record_lifecycle(&mut self, c: &synergy_dram::Completion, push: u64, cycle: u64) {
+        if let Some(attrib) = &mut self.attrib {
+            // Telescoping decomposition push → enqueue → bank-ready →
+            // issue → complete: every cycle lands in exactly one bucket,
+            // so the ledger conserves end-to-end latency by construction
+            // (zero tolerance — see tests/attribution.rs).
+            let class = c.class.index();
+            let enq = c.enqueue_cycle.max(push);
+            let ready = c.bank_ready_cycle.clamp(enq, c.issue_cycle);
+            let issue = c.issue_cycle.max(ready).min(cycle);
+            let refresh = self.timing.refresh_overlap(enq, ready);
+            attrib.record(class, AttribBucket::QueueWait, (enq - push) + (issue - ready));
+            attrib.record(class, AttribBucket::RefreshStall, refresh);
+            attrib.record(class, AttribBucket::BankBusy, (ready - enq) - refresh);
+            attrib.record(class, AttribBucket::BusTransfer, cycle - issue);
+            attrib.close_request(class, cycle - push);
+        }
+        if let Some(tracer) = &mut self.tracer {
+            let mut events = [
+                (SpanPhase::LlcMiss, push),
+                (SpanPhase::EngineExpand, push),
+                (SpanPhase::MetaCacheProbe, push),
+                (SpanPhase::DramEnqueue, c.enqueue_cycle),
+                (SpanPhase::DramIssue, c.issue_cycle),
+                (SpanPhase::Complete, cycle),
+            ];
+            // Data reads do not probe the metadata cache.
+            let events = if c.class == RequestClass::Data {
+                events.copy_within(3.., 2);
+                &events[..5]
+            } else {
+                &events[..]
+            };
+            tracer.record(c.id, c.addr, c.class.name(), events);
+        }
+    }
+
+    /// Enqueues an access (deferring on full queues) and stamps the push
+    /// cycle of reads whose lifecycle is being recorded.
     fn push_request(&mut self, spec: synergy_secure::AccessSpec, cycle: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        if spec.kind == AccessKind::Read {
-            // Writes are posted (no completion event to close the span),
-            // so only reads are traced and attributed.
-            if self.attrib_on {
-                self.push_cycle.insert(id, cycle);
-            }
-            self.tracer
-                .start(id, spec.addr, spec.class.name(), SpanPhase::LlcMiss, cycle);
-            self.tracer.event(id, SpanPhase::EngineExpand, cycle);
-            if spec.class != RequestClass::Data {
-                self.tracer.event(id, SpanPhase::MetaCacheProbe, cycle);
-            }
+        // Writes are posted (no completion event closes them), so only
+        // reads are traced and attributed.
+        if spec.kind == AccessKind::Read && (self.tracer.is_some() || self.attrib.is_some()) {
+            self.push_cycle.insert(id, cycle);
         }
         let req = Request { id, addr: spec.addr, kind: spec.kind, class: spec.class, core: 0 };
         if !self.deferred.is_empty() || !self.dram.enqueue(req) {
             self.deferred.push_back(req);
-        } else {
-            self.tracer.event(id, SpanPhase::DramEnqueue, cycle);
         }
         id
     }
@@ -694,12 +690,7 @@ pub fn run(
     warmup(cfg, trace, &mut llc, &mut engine, &mut scratch);
 
     let mut cores: Vec<Core> = (0..cfg.cores).map(|_| Core::new(instructions_per_core)).collect();
-    let tracer = if cfg.telemetry.trace_spans {
-        SpanTracer::new(4096, cfg.telemetry.top_k)
-    } else {
-        SpanTracer::disabled()
-    };
-    let mut mem = MemSide::new(dram, tracer, cfg.telemetry.attribution);
+    let mut mem = MemSide::new(dram, &cfg.telemetry);
     let mut registry = MetricRegistry::new();
     let wall = synergy_obs::Stopwatch::start();
     let mut ff_jumps: u64 = 0;
@@ -779,7 +770,7 @@ pub fn run(
                 mem.dram.stats(),
                 llc.stats(),
                 &engine,
-                mem.attribution(),
+                mem.attrib.as_ref(),
             );
             registry.sample_epoch(mem_cycle);
         }
@@ -859,13 +850,11 @@ pub fn run(
 
     // Final metric publication, plus the system-level metrics only this
     // layer knows.
-    publish_components(&mut registry, &stats, llc.stats(), &engine, mem.attribution());
+    publish_components(&mut registry, &stats, llc.stats(), &engine, mem.attrib.as_ref());
     registry.set_counter("core.system.instructions", total_insts);
     registry.set_counter("core.system.mem_cycles", mem_cycle);
     registry.set_gauge("core.system.ipc", ipc);
     registry.set_gauge("core.system.seconds", seconds);
-    registry.set_counter("core.system.spans_completed", mem.tracer.completed());
-    registry.set_counter("core.system.spans_dropped", mem.tracer.dropped());
     // Simulator-throughput metrics: wall-clock speed and how much work the
     // event-horizon fast path saved. These describe the simulator itself,
     // not the simulated system, and are the only wall-clock-dependent
@@ -875,16 +864,17 @@ pub fn run(
     registry.set_counter("sim.ff_jumps", ff_jumps);
     registry.set_counter("sim.ff_skipped_cycles", ff_skipped_cycles);
     registry.set_counter("sim.issue_scan_skips", mem.dram.scan_skips());
-    mem.tracer.observe("span", &mut registry);
-    debug_assert!(
-        mem.attrib.verify().is_ok(),
-        "cycle-attribution conservation violated: {}",
-        mem.attrib.verify().unwrap_err()
+    if let Some(tracer) = &mem.tracer {
+        tracer.observe("span", &mut registry);
+    }
+    debug_assert_eq!(
+        mem.attrib.as_ref().map_or(Ok(()), CycleAttribution::verify),
+        Ok(()),
+        "cycle-attribution conservation violated"
     );
     let telemetry = Telemetry {
-        slowest: mem.tracer.slowest(cfg.telemetry.top_k),
-        spans_completed: mem.tracer.completed(),
-        spans_dropped: mem.tracer.dropped(),
+        slowest: mem.tracer.as_ref().map_or_else(Vec::new, |t| t.slowest(cfg.telemetry.top_k)),
+        spans_completed: mem.tracer.as_ref().map_or(0, SpanTracer::completed),
         registry,
     };
 
@@ -904,7 +894,7 @@ pub fn run(
         metadata_cache: *engine.metadata_cache_stats(),
         llc: *llc.stats(),
         telemetry,
-        attrib: if mem.attrib_on { mem.attrib } else { CycleAttribution::default() },
+        attrib: mem.attrib.unwrap_or_default(),
     })
 }
 
@@ -992,7 +982,7 @@ fn step_core(
             if llc.read(addr) {
                 core.loads.push_back(OutstandingLoad { pos, remaining: 1 });
                 core.llc_hits.push((mem_cycle + cfg.llc_hit_latency, pos));
-                mem.note_llc_hit(cfg.llc_hit_latency);
+                mem.note_fixed_latency(AttribBucket::LlcHit, cfg.llc_hit_latency);
             } else {
                 let diagnosis = issue_load_miss(addr, engine, llc, mem, mem_cycle, scratch);
                 let mut remaining = scratch.blocking.len() as u32;
@@ -1007,7 +997,7 @@ fn step_core(
                     if delay > 0 {
                         remaining += 1;
                         core.llc_hits.push((mem_cycle + delay, pos));
-                        mem.note_crypto_stall(delay);
+                        mem.note_fixed_latency(AttribBucket::CryptoWork, delay);
                     }
                 }
                 core.loads.push_back(OutstandingLoad { pos, remaining });

@@ -180,13 +180,7 @@ fn run_batch(
             continue;
         }
         with_faults += 1;
-        faults.clear();
-        for _ in 0..k {
-            let chip = rng.gen_range(0..chips);
-            let (mode, permanent) = model.sample_mode(&mut rng);
-            let at = rng.gen_range(0.0..hours);
-            faults.push(Fault::sample(&mut rng, &params.geometry, chip, mode, permanent, at));
-        }
+        sample_faults(&mut rng, k, chips, model, &params.geometry, hours, &mut faults);
         if let Some(t) = policy.first_failure(&faults, hours, params.scrub_interval_hours) {
             failures += 1;
             ttf_sum += t;
@@ -209,6 +203,30 @@ pub fn poisson<R: Rng>(rng: &mut R, exp_neg_lambda: f64) -> u32 {
             return k;
         }
         k += 1;
+    }
+}
+
+/// Draws one device's `k` lifetime faults into `faults` (cleared first):
+/// per fault a uniform chip among `chips`, a mode from `model`, a uniform
+/// arrival time in `[0, hours)` and its [`Fault::sample`] extent, in that
+/// draw order. The fig11 Monte Carlo and `synergy-fleet` both sample
+/// through here, so a given RNG stream yields the same faults in each.
+#[inline]
+pub fn sample_faults<R: Rng>(
+    rng: &mut R,
+    k: u32,
+    chips: usize,
+    model: &FaultModel,
+    geometry: &ChipGeometry,
+    hours: f64,
+    faults: &mut Vec<Fault>,
+) {
+    faults.clear();
+    for _ in 0..k {
+        let chip = rng.gen_range(0..chips);
+        let (mode, permanent) = model.sample_mode(rng);
+        let at = rng.gen_range(0.0..hours);
+        faults.push(Fault::sample(rng, geometry, chip, mode, permanent, at));
     }
 }
 

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use synergy_campaign::fabric::{Aggregate, FabricConfig, Job, JobFabric};
-use synergy_faultsim::{poisson, EccPolicy, Fault, HOURS_PER_YEAR};
+use synergy_faultsim::{poisson, sample_faults, EccPolicy, Fault, HOURS_PER_YEAR};
 use synergy_obs::{Json, MetricRegistry};
 
 use crate::model::{
@@ -251,13 +251,7 @@ impl Job for FleetJob {
                 }
                 let tally = &mut designs[di];
                 tally.dimms_with_faults += 1;
-                faults.clear();
-                for _ in 0..k {
-                    let chip = rng.gen_range(0..chips[di]);
-                    let (mode, permanent) = p.model.sample_mode(&mut rng);
-                    let at = rng.gen_range(0.0..horizon);
-                    faults.push(Fault::sample(&mut rng, &p.geometry, chip, mode, permanent, at));
-                }
+                sample_faults(&mut rng, k, chips[di], &p.model, &p.geometry, horizon, &mut faults);
                 let failure =
                     design.first_failure(&faults, horizon, p.scrub_interval_hours);
                 // The DIMM is observed until it fails (then it is swapped
@@ -497,6 +491,7 @@ pub fn run_with_fabric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synergy_campaign::fabric::Checkpoint;
     use synergy_faultsim::FaultModel;
 
     fn quick(dimms: u64, threads: usize) -> FleetParams {
@@ -526,6 +521,40 @@ mod tests {
         let json = Json::parse(&agg.to_json()).expect("aggregate JSON parses");
         let back = FleetAggregate::from_json(&json).expect("aggregate deserializes");
         assert_eq!(agg, back);
+    }
+
+    #[test]
+    fn truncated_checkpoints_are_refused_and_left_untouched() {
+        let path = std::env::temp_dir()
+            .join(format!("synergy-fleet-truncated-{}.ckpt.json", std::process::id()));
+        let params = quick(3_000, 1);
+        let fabric = |stop_after_shards| {
+            let cfg = FabricConfig {
+                threads: 1,
+                checkpoint_path: Some(path.clone()),
+                stop_after_shards,
+                ..FabricConfig::default()
+            };
+            JobFabric::new(FleetJob::new(&params).with_shard_items(1_000), cfg)
+        };
+        fabric(Some(2)).resume().expect("interrupted run writes its frontier");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(Checkpoint::<FleetAggregate>::from_json(&text).is_ok());
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            assert!(
+                Checkpoint::<FleetAggregate>::from_json(&text[..end]).is_err(),
+                "prefix of {end} bytes accepted"
+            );
+        }
+
+        // Resuming over a file cut short mid-write refuses to run and
+        // leaves the file exactly as it found it.
+        let cut = &text.as_bytes()[..text.len() / 2];
+        std::fs::write(&path, cut).unwrap();
+        let err = fabric(None).resume().unwrap_err();
+        assert!(err.contains("checkpoint"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), cut);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

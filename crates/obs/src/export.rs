@@ -287,11 +287,18 @@ mod tests {
 
     #[test]
     fn span_json_has_phase_breakdown() {
-        let mut t = SpanTracer::for_system();
-        t.start(9, 0x40, "data", SpanPhase::LlcMiss, 100);
-        t.event(9, SpanPhase::DramEnqueue, 101);
-        t.event(9, SpanPhase::DramIssue, 130);
-        t.complete(9, 140);
+        let mut t = SpanTracer::new(1);
+        t.record(
+            9,
+            0x40,
+            "data",
+            &[
+                (SpanPhase::LlcMiss, 100),
+                (SpanPhase::DramEnqueue, 101),
+                (SpanPhase::DramIssue, 130),
+                (SpanPhase::Complete, 140),
+            ],
+        );
         let spans = t.slowest(1);
         let j = spans_to_json(&spans);
         assert!(j.starts_with('[') && j.ends_with(']'));

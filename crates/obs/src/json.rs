@@ -242,14 +242,16 @@ impl Parser<'_> {
                         b'u' => {
                             let hi = self.hex4()?;
                             let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: the low half must follow.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
+                                // Surrogate pair: a low half must follow.
+                                if !self.bytes[self.pos..].starts_with(b"\\u") {
                                     return Err("lone high surrogate".into());
                                 }
+                                self.pos += 2;
+                                let lo = self.hex4()?;
+                                if !(0xDC00..=0xDFFF).contains(&lo) {
+                                    return Err(format!("invalid low surrogate {lo:#x}"));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
                             };
@@ -312,6 +314,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -337,6 +340,17 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "01x", "\"\\q\"", "{} trailing"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn rejects_invalid_surrogate_pairs() {
+        // A high half must be followed by a low half (U+DC00..=U+DFFF):
+        // anything else is an error, never an arithmetic overflow or a
+        // silently wrong code point.
+        for bad in [r#""\ud800\u0041""#, r#""\ud800\ue000""#, r#""\ud800""#, r#""\ud800\u""#] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(Json::parse(r#""\udbff\udfff""#).unwrap().as_str(), Some("\u{10FFFF}"));
     }
 
     #[test]
@@ -397,5 +411,28 @@ mod tests {
             Some(1.25)
         );
         assert_eq!(doc.get("epochs").unwrap().as_array().unwrap().len(), 1);
+    }
+
+    /// The bytes JSON documents are made of, so random inputs get past
+    /// the first token into strings, escapes, numbers and nesting.
+    const JSON_BYTES: &[u8] = b"{}[]:,\"\\/u0123456789abcdefABCDEF+-.eE truenls\n";
+
+    proptest! {
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256)
+        ) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_json_like_bytes(
+            bytes in proptest::collection::vec(
+                any::<u8>().prop_map(|b| JSON_BYTES[usize::from(b) % JSON_BYTES.len()]),
+                0..256,
+            )
+        ) {
+            let _ = Json::parse(std::str::from_utf8(&bytes).unwrap());
+        }
     }
 }

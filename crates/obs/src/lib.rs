@@ -12,11 +12,11 @@
 //!   histograms. Components publish into it via [`Observe`]; periodic
 //!   [`MetricRegistry::sample_epoch`] calls build a time-series of every
 //!   scalar metric.
-//! * [`SpanTracer`] — bounded request-lifecycle tracing (LLC miss →
-//!   engine expansion → metadata-cache probe → DRAM enqueue → issue →
-//!   complete) that retains the K slowest requests with per-phase
-//!   breakdowns, folding every completed span into per-phase duration
-//!   histograms.
+//! * [`SpanTracer`] — request-lifecycle spans (LLC miss → engine
+//!   expansion → metadata-cache probe → DRAM enqueue → issue → complete),
+//!   recorded once per request at completion: every request folds into
+//!   per-phase duration histograms, and only the K slowest are kept with
+//!   their per-phase breakdowns.
 //! * [`CycleAttribution`] — per-request-class × per-bucket cycle
 //!   accounting ("where did my cycles go") with a zero-tolerance
 //!   conservation invariant: buckets sum to end-to-end latency.

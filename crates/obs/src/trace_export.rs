@@ -20,10 +20,13 @@
 //! ```
 //! use synergy_obs::{ChromeTrace, SpanPhase, SpanTracer};
 //!
-//! let mut t = SpanTracer::for_system();
-//! t.start(1, 0x40, "data", SpanPhase::LlcMiss, 100);
-//! t.event(1, SpanPhase::DramIssue, 130);
-//! t.complete(1, 140);
+//! let mut t = SpanTracer::new(16);
+//! t.record(
+//!     1,
+//!     0x40,
+//!     "data",
+//!     &[(SpanPhase::LlcMiss, 100), (SpanPhase::DramIssue, 130), (SpanPhase::Complete, 140)],
+//! );
 //!
 //! let mut trace = ChromeTrace::new();
 //! trace.process_name(0, "synergy-sim");
@@ -197,12 +200,19 @@ mod tests {
     use crate::span::{SpanPhase, SpanTracer};
 
     fn traced_span() -> Span {
-        let mut t = SpanTracer::for_system();
-        t.start(7, 0x1240, "counter", SpanPhase::LlcMiss, 100);
-        t.event(7, SpanPhase::EngineExpand, 100);
-        t.event(7, SpanPhase::DramEnqueue, 101);
-        t.event(7, SpanPhase::DramIssue, 130);
-        t.complete(7, 145);
+        let mut t = SpanTracer::new(1);
+        t.record(
+            7,
+            0x1240,
+            "counter",
+            &[
+                (SpanPhase::LlcMiss, 100),
+                (SpanPhase::EngineExpand, 100),
+                (SpanPhase::DramEnqueue, 101),
+                (SpanPhase::DramIssue, 130),
+                (SpanPhase::Complete, 145),
+            ],
+        );
         t.slowest(1).pop().unwrap()
     }
 

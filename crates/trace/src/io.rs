@@ -189,6 +189,7 @@ impl ReplayTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(gap: u32, is_write: bool, addr: u64, dependent: bool) -> TraceRecord {
         TraceRecord { gap, is_write, addr, dependent }
@@ -261,5 +262,33 @@ mod tests {
         write_trace(&mut buf, &records).unwrap();
         let replay = ReplayTrace::from_reader(&buf[..]).unwrap();
         assert_eq!(replay.len(), 500);
+    }
+
+    /// The bytes trace lines are made of, so random inputs reach the
+    /// field parsers (gap overflow, bad hex, extra fields, comments).
+    const TRACE_BYTES: &[u8] = b"0123456789abcdefxX RWrwDd#\n\t";
+
+    proptest! {
+        #[test]
+        fn read_trace_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512)
+        ) {
+            if let Ok(records) = read_trace(bytes.as_slice()) {
+                prop_assert!(records.iter().all(|r| r.addr % 64 == 0));
+            }
+        }
+
+        #[test]
+        fn read_trace_never_panics_on_trace_like_bytes(
+            bytes in proptest::collection::vec(
+                any::<u8>()
+                    .prop_map(|b| TRACE_BYTES[usize::from(b) % TRACE_BYTES.len()]),
+                0..512,
+            )
+        ) {
+            if let Ok(records) = read_trace(bytes.as_slice()) {
+                prop_assert!(records.iter().all(|r| r.addr % 64 == 0));
+            }
+        }
     }
 }
