@@ -200,8 +200,9 @@ impl DramConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when any count is zero, watermarks are
-    /// inconsistent, or sizes are not powers of two.
+    /// Returns [`ConfigError`] when any count is zero, a channel has more
+    /// than 64 banks (the scheduler keeps one `u64` mask bit per bank),
+    /// watermarks are inconsistent, or sizes are not powers of two.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let fail = |reason: &str| Err(ConfigError { reason: reason.to_string() });
         if self.channels == 0
@@ -211,6 +212,9 @@ impl DramConfig {
             || self.lines_per_row == 0
         {
             return fail("all geometry counts must be nonzero");
+        }
+        if self.ranks_per_channel.saturating_mul(self.banks_per_rank) > 64 {
+            return fail("ranks_per_channel * banks_per_rank must not exceed 64");
         }
         if !self.line_bytes.is_power_of_two() {
             return fail("line_bytes must be a power of two");
@@ -271,6 +275,21 @@ mod tests {
 
         let cfg = DramConfig { line_bytes: 48, ..DramConfig::default() };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn bank_count_per_channel_is_bounded_by_64() {
+        let cfg = |ranks_per_channel, banks_per_rank| DramConfig {
+            ranks_per_channel,
+            banks_per_rank,
+            ..DramConfig::default()
+        };
+        cfg(4, 16).validate().unwrap();
+        cfg(1, 64).validate().unwrap();
+        for (ranks, banks) in [(5, 13), (1, 65), (8, 16), (usize::MAX, 2)] {
+            let err = cfg(ranks, banks).validate().unwrap_err();
+            assert!(err.reason.contains("64"), "{ranks}x{banks}: {err}");
+        }
     }
 
     #[test]

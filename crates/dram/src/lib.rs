@@ -91,9 +91,12 @@ impl MemorySystem {
 
     /// True when the target channel queue has room for `req`.
     pub fn can_accept(&self, req: &Request) -> bool {
-        let loc = map_address(&self.cfg, req.addr);
+        self.has_room(map_address(&self.cfg, req.addr), req.kind)
+    }
+
+    fn has_room(&self, loc: DramLocation, kind: AccessKind) -> bool {
         let ch = &self.channels[loc.channel];
-        match req.kind {
+        match kind {
             AccessKind::Read => ch.read_queue_len() < self.cfg.read_queue_capacity,
             AccessKind::Write => ch.write_queue_len() < self.cfg.write_queue_capacity,
         }
@@ -103,10 +106,10 @@ impl MemorySystem {
     /// target queue is full — the caller must retry later, modeling
     /// back-pressure into the core.
     pub fn enqueue(&mut self, req: Request) -> bool {
-        if !self.can_accept(&req) {
+        let loc = map_address(&self.cfg, req.addr);
+        if !self.has_room(loc, req.kind) {
             return false;
         }
-        let loc = map_address(&self.cfg, req.addr);
         self.channels[loc.channel].enqueue(req, loc, self.cycle);
         true
     }
@@ -492,7 +495,9 @@ mod tests {
 
         assert_eq!(ref_done, fast_done);
         assert_eq!(reference.stats(), fast.stats());
-        assert!(fast.scan_skips() < reference.scan_skips() + 8000);
+        // The horizon must actually skip scans, or the test proves nothing
+        // about it.
+        assert!(reference.scan_skips() > 0, "the issue horizon never skipped a scan");
     }
 
     #[test]
